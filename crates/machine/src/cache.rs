@@ -5,6 +5,12 @@
 //! and NUMA costs) appear, coarse enough to stay cheap. The paper's L3 is
 //! shared by the node's four cores, which the per-node granularity models
 //! directly.
+//!
+//! Residency tables are sized on use: a cache starts with no host
+//! allocation and reserves its full table only when it first fills, so
+//! a machine that touches a handful of pages costs a handful of entries,
+//! while a cache that fills ends at the same table size as one reserved
+//! up front.
 
 use numa_sim::FxHashMap;
 use std::collections::VecDeque;
@@ -33,13 +39,14 @@ pub struct L3Cache {
 }
 
 impl L3Cache {
-    /// A cache holding `capacity` pages.
+    /// A cache holding `capacity` pages. Nothing is allocated until the
+    /// first touch.
     pub fn new(capacity: usize) -> Self {
         L3Cache {
             capacity,
             seq: 0,
-            order: VecDeque::with_capacity(capacity),
-            resident: FxHashMap::with_capacity_and_hasher(capacity * 2, Default::default()),
+            order: VecDeque::new(),
+            resident: FxHashMap::default(),
             hits: 0,
             misses: 0,
         }
@@ -70,6 +77,14 @@ impl L3Cache {
                     break;
                 }
             }
+        } else if self.resident.len() + 1 == self.capacity {
+            // This miss fills the cache: reserve room for 2 × capacity
+            // entries, so a full cache evicts at a low load factor and
+            // never rehashes again.
+            self.resident
+                .reserve(2 * self.capacity - self.resident.len());
+            self.order
+                .reserve_exact(self.capacity.saturating_sub(self.order.len()));
         }
         self.seq += 1;
         self.order.push_back((self.seq, vpn));
@@ -177,5 +192,117 @@ mod tests {
         let mut c = L3Cache::new(0);
         assert!(!c.touch(1));
         assert!(!c.touch(1));
+    }
+
+    #[test]
+    fn residency_tables_are_sized_on_use() {
+        // The paper's 2 MB L3 in 4 KiB pages.
+        let mut c = L3Cache::new(512);
+        assert_eq!(c.resident.capacity(), 0, "a fresh cache allocates nothing");
+        for vpn in 0..6 {
+            c.touch(vpn);
+        }
+        assert!(
+            c.resident.capacity() < 2 * 512,
+            "6 pages reserve a small table"
+        );
+        assert!(c.order.capacity() < 512);
+        for vpn in 6..512 {
+            c.touch(vpn);
+        }
+        assert_eq!(c.len(), 512);
+        let full = FxHashMap::<u64, u64>::with_capacity_and_hasher(2 * 512, Default::default());
+        assert_eq!(
+            c.resident.capacity(),
+            full.capacity(),
+            "full cache: full table"
+        );
+        assert!(c.order.capacity() >= 512);
+        // Steady-state eviction keeps the table it reserved at the fill.
+        for vpn in 512..4096 {
+            c.touch(vpn);
+        }
+        assert_eq!(c.resident.capacity(), full.capacity());
+    }
+
+    /// The eager scheme the lazy cache must match: a FIFO of live pages,
+    /// membership by linear scan, invalidation by removal.
+    struct EagerFifo {
+        capacity: usize,
+        order: VecDeque<u64>,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl EagerFifo {
+        fn touch(&mut self, vpn: u64) -> bool {
+            if self.capacity > 0 && self.order.contains(&vpn) {
+                self.hits += 1;
+                return true;
+            }
+            self.misses += 1;
+            if self.capacity > 0 {
+                if self.order.len() == self.capacity {
+                    self.order.pop_front();
+                }
+                self.order.push_back(vpn);
+            }
+            false
+        }
+
+        fn invalidate(&mut self, vpn: u64) {
+            self.order.retain(|&v| v != vpn);
+        }
+    }
+
+    #[test]
+    fn lockstep_with_eager_fifo() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let (mut fills, mut compactions) = (0, 0);
+        for case in 0..200 {
+            let capacity = [0, 1, 2, 5, 8, 31, 40][case % 7];
+            let pages = 2 * capacity as u64 + 3;
+            // Invalidation-heavy cases rarely evict, so ghosts pile up
+            // until the compaction bound trims them.
+            let invalidate_pct = [10, 34, 60][case % 3];
+            let mut lazy = L3Cache::new(capacity);
+            let mut eager = EagerFifo {
+                capacity,
+                order: VecDeque::new(),
+                hits: 0,
+                misses: 0,
+            };
+            for step in 0..2_000 {
+                let vpn = next(pages);
+                let roll = next(100);
+                if roll == 0 {
+                    lazy.clear();
+                    eager.order.clear();
+                } else if roll <= invalidate_pct {
+                    let before = lazy.order.len();
+                    lazy.invalidate(vpn);
+                    eager.invalidate(vpn);
+                    compactions += (lazy.order.len() < before) as u32;
+                } else {
+                    let hit = lazy.touch(vpn);
+                    assert_eq!(hit, eager.touch(vpn), "case {case} step {step} vpn {vpn}");
+                    fills += (capacity > 0 && lazy.len() == capacity) as u32;
+                }
+                assert_eq!(lazy.len(), eager.order.len(), "case {case} step {step}");
+                assert_eq!(lazy.hits(), eager.hits, "case {case} step {step}");
+                assert_eq!(lazy.misses(), eager.misses, "case {case} step {step}");
+            }
+        }
+        assert!(fills > 0, "sequences must cross the fill point");
+        assert!(
+            compactions > 0,
+            "sequences must cross the ghost-compaction bound"
+        );
     }
 }

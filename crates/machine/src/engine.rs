@@ -280,22 +280,6 @@ struct ThreadState {
     op: Option<(&'static str, SimTime)>,
 }
 
-/// Process-wide default for the engine's lookahead fast path. Machines
-/// snapshot it at construction; tests flip it to prove batched and
-/// per-page execution produce bit-identical results.
-static FAST_PATH_DEFAULT: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
-
-/// Set the process-wide default for the lookahead fast path (applies to
-/// machines constructed afterwards).
-pub fn set_fast_path_default(enabled: bool) {
-    FAST_PATH_DEFAULT.store(enabled, std::sync::atomic::Ordering::SeqCst);
-}
-
-/// The current process-wide fast-path default.
-pub fn fast_path_default() -> bool {
-    FAST_PATH_DEFAULT.load(std::sync::atomic::Ordering::SeqCst)
-}
-
 /// A paused-and-resumable engine session over one machine.
 ///
 /// [`Machine::start_run`] captures what used to be the locals of the

@@ -25,6 +25,12 @@
 //!   global, packing-invariant quantity) drives window advancement,
 //!   jumping over empty windows without extra barrier rounds.
 //!
+//! A tenant retires in the window it drains: it publishes that window's
+//! summary (its final ledger deposit included), then its outcome is
+//! taken and its machine dropped, so later rounds cost only what the
+//! live tenants cost. Summaries go into one reused buffer per worker, so
+//! a round allocates nothing per tenant.
+//!
 //! Because every coupling is applied at fixed window boundaries in an
 //! order keyed on tenant id (never shard or worker id), the run's output
 //! — makespans, breakdowns, counters, trace order — is byte-identical
@@ -140,13 +146,26 @@ pub struct ShardedRunResult {
     pub trace: Vec<(usize, TraceEvent)>,
 }
 
-/// What one tenant publishes at a window barrier.
-struct WindowSummary {
-    /// Next pending event time, `None` once the tenant drained.
+/// One tenant's entry in its worker's window buffer.
+struct TenantSummary {
+    id: usize,
+    /// Next pending event time; `None` in the window the tenant drained.
     next_event: Option<SimTime>,
     /// Engine cache misses incurred this window.
     misses_delta: u64,
-    /// Refill wanted per node.
+}
+
+/// What one worker publishes at a window barrier: an entry per tenant it
+/// ran this window, in ascending tenant id, and — with the ledger on —
+/// `nodes` request and deposit slots per entry. The leader overwrites
+/// each request slot with its grant, which the worker applies before its
+/// next window. The buffer is reused across windows, so once it has grown
+/// a barrier round allocates nothing per tenant, and each worker takes
+/// its buffer's lock once per window.
+#[derive(Default)]
+struct WindowBuf {
+    summaries: Vec<TenantSummary>,
+    /// Refill wanted per node, replaced by the grant at the barrier.
     requests: Vec<u64>,
     /// Capacity already yielded per node (worker-side), to deposit.
     deposits: Vec<u64>,
@@ -158,7 +177,6 @@ struct WindowSummary {
 struct SharedState {
     clock: WindowClock,
     ledger: Option<numa_vm::FrameLedger>,
-    grants: Vec<Vec<u64>>,
     flush: bool,
     stop: bool,
     flush_windows: u64,
@@ -172,13 +190,25 @@ struct TenantOutcome {
     trace: Vec<TraceEvent>,
 }
 
-/// A tenant resident on a worker.
+/// A tenant resident on a worker, from its build until the window it
+/// drains in; then it retires into a [`TenantOutcome`] and its machine is
+/// dropped.
 struct LiveTenant {
     id: usize,
     machine: Machine,
-    run: Option<EngineRun>,
-    finished: bool,
+    run: EngineRun,
     last_misses: u64,
+}
+
+impl LiveTenant {
+    fn retire(self: Box<Self>) -> TenantOutcome {
+        TenantOutcome {
+            tenant: self.id,
+            result: self.run.finish(),
+            kernel_counters: self.machine.kernel.counters.clone(),
+            trace: self.machine.trace.snapshot(),
+        }
+    }
 }
 
 /// Run `tenant_count` tenants built by `build` (called with the tenant
@@ -235,18 +265,16 @@ where
             .ledger
             .as_ref()
             .map(|l| numa_vm::FrameLedger::new(vec![l.pool_frames_per_node; nodes])),
-        grants: vec![vec![0; nodes]; tenant_count],
         flush: false,
         stop: false,
         flush_windows: 0,
     });
-    let summaries: Vec<Mutex<Option<WindowSummary>>> =
-        (0..tenant_count).map(|_| Mutex::new(None)).collect();
+    let window_bufs: Vec<Mutex<WindowBuf>> = (0..workers).map(|_| Mutex::default()).collect();
     let barrier = Barrier::new(workers);
     let outcomes: Mutex<Vec<TenantOutcome>> = Mutex::new(Vec::with_capacity(tenant_count));
     let build = &build;
     let shared = &shared;
-    let summaries = &summaries;
+    let window_bufs = &window_bufs;
     let barrier = &barrier;
     let outcomes = &outcomes;
     let ledger_cfg = cfg.ledger.clone();
@@ -258,7 +286,9 @@ where
             let ledger_cfg = ledger_cfg.clone();
             scope.spawn(move || {
                 // Tenants whose shard lands on this worker, ascending id.
-                let mut mine: Vec<LiveTenant> = (0..tenant_count)
+                // Boxed so retiring one mid-list shifts pointers, not
+                // whole machines.
+                let mut mine: Vec<Box<LiveTenant>> = (0..tenant_count)
                     .filter(|t| (t % shards) % workers == me)
                     .map(|id| {
                         let TenantRun {
@@ -277,113 +307,140 @@ where
                             machine.enable_trace(trace_capacity);
                         }
                         let run = machine.start_run(threads, &barrier_sizes);
-                        LiveTenant {
+                        Box::new(LiveTenant {
                             id,
                             machine,
-                            run: Some(run),
-                            finished: false,
+                            run,
                             last_misses: 0,
-                        }
+                        })
                     })
                     .collect();
+                let mut done: Vec<TenantOutcome> = Vec::with_capacity(mine.len());
 
                 let mut horizon = SimTime(width);
                 loop {
-                    for tenant in &mut mine {
-                        let summary = if tenant.finished {
-                            WindowSummary {
-                                next_event: None,
-                                misses_delta: 0,
-                                requests: Vec::new(),
-                                deposits: Vec::new(),
-                            }
-                        } else {
-                            let LiveTenant { machine, run, .. } = tenant;
-                            let run = run.as_mut().expect("unfinished tenant has a run");
-                            let next = machine.run_until(run, Some(horizon));
-                            if next.is_none() {
-                                tenant.finished = true;
-                            }
-                            let misses = run.stats().counters.get(Counter::CacheMisses);
-                            let misses_delta = misses - tenant.last_misses;
-                            tenant.last_misses = misses;
-                            let (requests, deposits) = match &ledger_cfg {
-                                None => (Vec::new(), Vec::new()),
-                                Some(l) => {
-                                    let mut req = vec![0; nodes];
-                                    let mut dep = vec![0; nodes];
-                                    // A drained tenant hands back all its
-                                    // spare headroom; a running one keeps
-                                    // its configured cushion.
-                                    let keep = if tenant.finished {
-                                        0
-                                    } else {
-                                        l.keep_free_frames
-                                    };
-                                    for n in 0..nodes {
-                                        let node = NodeId(n as u16);
-                                        let free = tenant.machine.frames.free_on(node);
-                                        if free > keep {
-                                            dep[n] = tenant
-                                                .machine
-                                                .frames
-                                                .yield_capacity(node, free - keep);
-                                        }
-                                        if !tenant.finished
-                                            && tenant.machine.frames.free_on(node)
-                                                < l.low_free_frames
-                                        {
-                                            req[n] = l.refill_frames;
-                                        }
-                                    }
-                                    (req, dep)
+                    {
+                        let mut buf = window_bufs[me].lock().expect("no worker panicked");
+                        let WindowBuf {
+                            summaries,
+                            requests,
+                            deposits,
+                        } = &mut *buf;
+                        // Apply last window's grants. Its entries that
+                        // still had an event pending are exactly the live
+                        // tenants, in the same order (the others retired).
+                        let grants = summaries
+                            .iter()
+                            .zip(requests.chunks(nodes))
+                            .filter(|(s, _)| s.next_event.is_some());
+                        for ((s, grant), tenant) in grants.zip(mine.iter_mut()) {
+                            debug_assert_eq!(s.id, tenant.id);
+                            for (n, &g) in grant.iter().enumerate() {
+                                if g > 0 {
+                                    tenant.machine.frames.grant_capacity(NodeId(n as u16), g);
                                 }
-                            };
-                            WindowSummary {
-                                next_event: next,
-                                misses_delta,
-                                requests,
-                                deposits,
                             }
-                        };
-                        *summaries[tenant.id].lock().unwrap() = Some(summary);
+                        }
+                        summaries.clear();
+                        requests.clear();
+                        deposits.clear();
+
+                        // Live tenants are compacted to the front, in
+                        // order; those that drained this window end up
+                        // behind them and retire.
+                        let mut live = 0;
+                        for i in 0..mine.len() {
+                            let LiveTenant {
+                                id,
+                                machine,
+                                run,
+                                last_misses,
+                            } = &mut *mine[i];
+                            let next = machine.run_until(run, Some(horizon));
+                            let misses = run.stats().counters.get(Counter::CacheMisses);
+                            summaries.push(TenantSummary {
+                                id: *id,
+                                next_event: next,
+                                misses_delta: misses - *last_misses,
+                            });
+                            *last_misses = misses;
+                            if let Some(l) = &ledger_cfg {
+                                // A drained tenant hands back all its spare
+                                // headroom; a running one keeps its
+                                // configured cushion.
+                                let keep = if next.is_none() {
+                                    0
+                                } else {
+                                    l.keep_free_frames
+                                };
+                                for n in 0..nodes {
+                                    let node = NodeId(n as u16);
+                                    let free = machine.frames.free_on(node);
+                                    deposits.push(if free > keep {
+                                        machine.frames.yield_capacity(node, free - keep)
+                                    } else {
+                                        0
+                                    });
+                                    let low = next.is_some()
+                                        && machine.frames.free_on(node) < l.low_free_frames;
+                                    requests.push(if low { l.refill_frames } else { 0 });
+                                }
+                            }
+                            if next.is_some() {
+                                mine.swap(live, i);
+                                live += 1;
+                            }
+                        }
+                        done.extend(mine.drain(live..).map(|t| t.retire()));
                     }
 
                     if barrier.wait().is_leader() {
                         let mut sh = shared.lock().unwrap();
                         let sh = &mut *sh;
+                        let mut bufs: Vec<_> = window_bufs
+                            .iter()
+                            .map(|b| (b.lock().expect("no worker panicked"), 0usize))
+                            .collect();
                         let mut min_next: Option<SimTime> = None;
                         let mut miss_sum = 0u64;
-                        // Deposits first (commutative), so capacity freed
-                        // this window is grantable this window.
-                        if let Some(ledger) = &mut sh.ledger {
-                            for slot in summaries.iter() {
-                                if let Some(s) = slot.lock().unwrap().as_ref() {
-                                    for (n, &d) in s.deposits.iter().enumerate() {
-                                        ledger.deposit(NodeId(n as u16), d);
-                                    }
+                        // Miss sums, the next-event minimum and deposits
+                        // are commutative, so any buffer order will do.
+                        // Deposits go first, so capacity freed this window
+                        // is grantable this window.
+                        for (buf, _) in &bufs {
+                            for s in &buf.summaries {
+                                miss_sum += s.misses_delta;
+                                if let Some(p) = s.next_event {
+                                    min_next = Some(min_next.map_or(p, |m| m.min(p)));
+                                }
+                            }
+                            if let Some(ledger) = &mut sh.ledger {
+                                for (i, &d) in buf.deposits.iter().enumerate() {
+                                    ledger.deposit(NodeId((i % nodes) as u16), d);
                                 }
                             }
                         }
-                        // Requests strictly in tenant-id order: the grant
+                        // Requests strictly in tenant-id order — a merge of
+                        // the workers' ascending buffers: the grant
                         // sequence must not depend on packing.
-                        for (t, slot) in summaries.iter().enumerate() {
-                            let slot = slot.lock().unwrap();
-                            let s = slot.as_ref().expect("summary published");
-                            miss_sum += s.misses_delta;
-                            if let Some(p) = s.next_event {
-                                min_next = Some(
-                                    min_next.map_or(p, |m: SimTime| if p < m { p } else { m }),
-                                );
-                            }
-                            let grant = &mut sh.grants[t];
-                            grant.iter_mut().for_each(|g| *g = 0);
-                            if let Some(ledger) = &mut sh.ledger {
-                                for (n, &want) in s.requests.iter().enumerate() {
-                                    if want > 0 {
-                                        grant[n] = ledger.request(NodeId(n as u16), want);
+                        if let Some(ledger) = &mut sh.ledger {
+                            while let Some((_, b)) = bufs
+                                .iter()
+                                .enumerate()
+                                .filter_map(|(b, (buf, i))| {
+                                    buf.summaries.get(*i).map(|s| (s.id, b))
+                                })
+                                .min()
+                            {
+                                let (buf, i) = &mut bufs[b];
+                                for (n, slot) in
+                                    buf.requests[*i * nodes..][..nodes].iter_mut().enumerate()
+                                {
+                                    if *slot > 0 {
+                                        *slot = ledger.request(NodeId(n as u16), *slot);
                                     }
                                 }
+                                *i += 1;
                             }
                         }
                         sh.flush = thrash_limit > 0 && miss_sum >= thrash_limit;
@@ -403,31 +460,13 @@ where
                             break;
                         }
                         horizon = sh.clock.horizon();
-                        for tenant in &mut mine {
-                            if tenant.finished {
-                                continue;
-                            }
-                            for (n, &g) in sh.grants[tenant.id].iter().enumerate() {
-                                if g > 0 {
-                                    tenant.machine.frames.grant_capacity(NodeId(n as u16), g);
-                                }
-                            }
-                            if sh.flush {
+                        if sh.flush {
+                            for tenant in &mut mine {
                                 tenant.machine.flush_caches();
                             }
                         }
                     }
                 }
-
-                let mut done: Vec<TenantOutcome> = mine
-                    .into_iter()
-                    .map(|t| TenantOutcome {
-                        tenant: t.id,
-                        result: t.run.expect("run present").finish(),
-                        kernel_counters: t.machine.kernel.counters.clone(),
-                        trace: t.machine.trace.snapshot(),
-                    })
-                    .collect();
                 outcomes.lock().unwrap().append(&mut done);
             });
         }
@@ -589,5 +628,121 @@ mod tests {
         let r = run_sharded(&topo, 0, &ShardConfig::serial(), tenant);
         assert_eq!(r.makespan, SimTime::ZERO);
         assert_eq!(r.windows, 0);
+    }
+
+    /// A tenant whose compute span grows geometrically with its id, so
+    /// the tenant set drains across some 140 windows (25 µs to 926 µs)
+    /// rather than in one: most barrier rounds run with some tenants
+    /// already retired.
+    fn staggered_tenant(id: usize) -> TenantRun {
+        let mut machine = Machine::two_node();
+        let buf = machine.alloc(16 * numa_vm::PAGE_SIZE, MemPolicy::FirstTouch);
+        let pages = 2 + (id % 5) as u64;
+        let threads = vec![ThreadSpec::scripted(
+            numa_topology::CoreId((id % 2) as u16),
+            vec![
+                Op::write(buf, pages * numa_vm::PAGE_SIZE, MemAccessKind::Stream),
+                Op::ComputeNs(400 * 3u64.pow((id % 8) as u32)),
+                Op::read(buf, pages * numa_vm::PAGE_SIZE, MemAccessKind::Random),
+                Op::ComputeNs(1_000 * id as u64),
+                Op::write(buf, pages * numa_vm::PAGE_SIZE, MemAccessKind::Random),
+                Op::Munmap { addr: buf },
+            ],
+        )];
+        TenantRun {
+            machine,
+            threads,
+            barrier_sizes: Vec::new(),
+        }
+    }
+
+    fn staggered_cfg(shards: usize, jobs: usize, ledger: LedgerConfig) -> ShardConfig {
+        ShardConfig {
+            shards,
+            jobs,
+            window_ns: None,
+            ledger: Some(ledger),
+            thrash_miss_limit: 6,
+            trace_capacity: 512,
+        }
+    }
+
+    /// FNV-1a over the merged trace's `(tenant, event)` lines.
+    fn trace_digest(trace: &[(usize, TraceEvent)]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (t, e) in trace {
+            for b in format!("{t} {e}\n").bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Recorded before drained tenants retired mid-run (when every tenant
+    /// stayed resident until the last window): ledger grants, denials and
+    /// yields, flush windows, per-tenant makespans, merged trace length
+    /// and digest.
+    const STAGGERED_RECORD: (u64, u64, u64, u64, [u64; 12], usize, u64) = (
+        15,
+        80,
+        34,
+        7,
+        [
+            25160, 55580, 75040, 99300, 137960, 126960, 332140, 926120, 93900, 111760, 50920, 75180,
+        ],
+        497,
+        0x1164_0e8a_bb1b_3576,
+    );
+
+    #[test]
+    fn staggered_drains_match_recorded_run() {
+        let topo = Arc::new(numa_topology::presets::two_node());
+        let ledger = LedgerConfig {
+            pool_frames_per_node: 4,
+            initial_frames_per_node: 6,
+            low_free_frames: 5,
+            refill_frames: 3,
+            keep_free_frames: 6,
+        };
+        for shards in [1, 3, 8] {
+            for jobs in [1, 2] {
+                let cfg = staggered_cfg(shards, jobs, ledger.clone());
+                let r = run_sharded(&topo, 12, &cfg, staggered_tenant);
+                let makespans: Vec<u64> = r.tenant_makespans.iter().map(|t| t.ns()).collect();
+                let got = (
+                    r.ledger_grants,
+                    r.ledger_denials,
+                    r.ledger_yields,
+                    r.flush_windows,
+                    makespans.try_into().expect("12 tenants"),
+                    r.trace.len(),
+                    trace_digest(&r.trace),
+                );
+                assert_eq!(got, STAGGERED_RECORD, "shards={shards} jobs={jobs}");
+            }
+        }
+    }
+
+    #[test]
+    fn drained_tenant_deposits_exactly_once() {
+        // No refills and a cushion no tenant can exceed: the only ledger
+        // traffic is each tenant's final deposit when it drains, one per
+        // node (every node still has its whole slice free after munmap).
+        let topo = Arc::new(numa_topology::presets::two_node());
+        let hoard = LedgerConfig {
+            pool_frames_per_node: 0,
+            initial_frames_per_node: 8,
+            low_free_frames: 0,
+            refill_frames: 0,
+            keep_free_frames: u64::MAX,
+        };
+        for shards in [1, 3, 8] {
+            for jobs in [1, 2] {
+                let cfg = staggered_cfg(shards, jobs, hoard.clone());
+                let r = run_sharded(&topo, 12, &cfg, staggered_tenant);
+                assert_eq!(r.ledger_grants, 0);
+                assert_eq!(r.ledger_yields, 12 * 2, "shards={shards} jobs={jobs}");
+            }
+        }
     }
 }
