@@ -91,9 +91,17 @@ impl Kernel {
         write: bool,
         b: &mut Breakdown,
     ) -> FaultResolution {
-        let topo = self.topology().clone();
-        let cost = topo.cost();
-        let local = topo.node_of_core(core);
+        // Scalars copied out of the cost model up front: the `&mut self`
+        // calls below cannot overlap a borrow of `self.topo`, and cloning
+        // the `Arc` per fault was a measurable refcount round-trip.
+        let cost = self.topo.cost();
+        let (page_fault_ns, first_touch_ns, nt_control_ns, lock_fraction) = (
+            cost.page_fault_ns,
+            cost.first_touch_ns,
+            cost.nt_fault_control_ns,
+            cost.pt_lock_fraction,
+        );
+        let local = self.topo.node_of_core(core);
 
         let Some(vma) = space.find_vma(addr) else {
             return FaultResolution::Fatal(VmError::NoVma(addr));
@@ -121,7 +129,7 @@ impl Kernel {
                     self.counters.bump(Counter::SegvSignals);
                     self.trace.record(now, TraceEventKind::Signal { page: vpn });
                     return FaultResolution::Segv {
-                        end: now + cost.page_fault_ns,
+                        end: now + page_fault_ns,
                     };
                 }
                 let mut t0 = now;
@@ -166,13 +174,13 @@ impl Kernel {
                 );
                 debug_assert!(prev.is_none(), "first touch of an already-mapped page");
 
-                b.add(CostComponent::FaultControl, cost.page_fault_ns);
+                b.add(CostComponent::FaultControl, page_fault_ns);
                 // Allocation + zeroing, partially serialized (zone lock).
-                let work = cost.first_touch_ns * pages_covered;
+                let work = first_touch_ns * pages_covered;
                 let end = self.locks.pt_serialized(
-                    t0 + cost.page_fault_ns,
+                    t0 + page_fault_ns,
                     work,
-                    cost.pt_lock_fraction,
+                    lock_fraction,
                     CostComponent::FaultControl,
                     b,
                 );
@@ -210,16 +218,16 @@ impl Kernel {
 
             // ------------------------------------- kernel next-touch hit
             Some(pte) if pte.is_next_touch() => {
-                b.add(CostComponent::FaultControl, cost.page_fault_ns);
-                let mut t = now + cost.page_fault_ns;
+                b.add(CostComponent::FaultControl, page_fault_ns);
+                let mut t = now + page_fault_ns;
                 let src = frames.node_of(pte.frame);
                 let mut migrated = false;
                 let mut node = src;
                 if src == local {
                     t = self.locks.pt_serialized(
                         t,
-                        cost.nt_fault_control_ns * pages_covered,
-                        cost.pt_lock_fraction,
+                        nt_control_ns * pages_covered,
+                        lock_fraction,
                         CostComponent::FaultControl,
                         b,
                     );
@@ -240,7 +248,7 @@ impl Kernel {
                             src,
                             local,
                             bytes,
-                            cost.nt_fault_control_ns * pages_covered,
+                            nt_control_ns * pages_covered,
                             CostComponent::FaultControl,
                             CostComponent::FaultCopy,
                             b,
@@ -320,10 +328,10 @@ impl Kernel {
                     }
                     let node = frames.node_of(entry.frame);
                     drop(entry); // write back before the replica sync reads it
-                    b.add(CostComponent::FaultControl, cost.page_fault_ns);
+                    b.add(CostComponent::FaultControl, page_fault_ns);
                     let end = self.pt_note_update(
                         space,
-                        now + cost.page_fault_ns,
+                        now + page_fault_ns,
                         PageRange::new(vpn, vpn + 1),
                     );
                     tlb.invalidate_local(core);
@@ -334,7 +342,7 @@ impl Kernel {
                             node: node.0,
                             write,
                             migrated: false,
-                            dur_ns: cost.page_fault_ns,
+                            dur_ns: page_fault_ns,
                         },
                     );
                     FaultResolution::Resolved {
@@ -348,7 +356,7 @@ impl Kernel {
                     self.counters.bump(Counter::SegvSignals);
                     self.trace.record(now, TraceEventKind::Signal { page: vpn });
                     FaultResolution::Segv {
-                        end: now + cost.page_fault_ns,
+                        end: now + page_fault_ns,
                     }
                 }
             }

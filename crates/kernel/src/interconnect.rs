@@ -13,17 +13,48 @@
 //! each others' NUMA memory across a single HyperTransport link" (§4.5).
 
 use numa_sim::{Resource, SimTime};
-use numa_topology::{NodeId, Topology};
+use numa_topology::{round_ns, NodeId, Topology};
+use numa_vm::PAGE_SIZE;
+
+/// A resource's bandwidth, with its service time for one base page
+/// computed once: per-page migrations and page touches occupy links and
+/// controllers for exactly `PAGE_SIZE` bytes, so the division and the
+/// rounding would otherwise repeat on every page.
+#[derive(Debug, Clone, Copy)]
+struct Bandwidth {
+    bytes_per_ns: f64,
+    page_ns: u64,
+}
+
+impl Bandwidth {
+    fn new(bytes_per_ns: f64) -> Self {
+        Bandwidth {
+            bytes_per_ns,
+            page_ns: round_ns(PAGE_SIZE as f64 / bytes_per_ns),
+        }
+    }
+
+    /// Occupation window for `bytes`; the same expression either way, so
+    /// the cached page value is bit-identical to computing it.
+    #[inline]
+    fn service_ns(self, bytes: u64) -> u64 {
+        if bytes == PAGE_SIZE {
+            self.page_ns
+        } else {
+            round_ns(bytes as f64 / self.bytes_per_ns)
+        }
+    }
+}
 
 /// Link and memory-controller resources for one machine.
 #[derive(Debug)]
 pub struct Interconnect {
     links: Vec<Resource>,
-    /// Per-link bandwidth (bytes/ns), indexed like `links`.
-    link_bw: Vec<f64>,
+    /// Per-link bandwidth, indexed like `links`.
+    link_bw: Vec<Bandwidth>,
     mem_ctl: Vec<Resource>,
-    /// Per-node DRAM bandwidth (bytes/ns).
-    mem_bw: Vec<f64>,
+    /// Per-node DRAM bandwidth.
+    mem_bw: Vec<Bandwidth>,
 }
 
 /// Outcome of a transfer.
@@ -46,13 +77,13 @@ impl Interconnect {
         for i in 0..topo.link_count() {
             let id = numa_topology::LinkId(i as u16);
             links.push(Resource::new(format!("link{}", i)));
-            link_bw.push(topo.link(id).bandwidth_bytes_per_ns);
+            link_bw.push(Bandwidth::new(topo.link(id).bandwidth_bytes_per_ns));
         }
         let mut mem_ctl = Vec::with_capacity(topo.node_count());
         let mut mem_bw = Vec::with_capacity(topo.node_count());
         for n in topo.node_ids() {
             mem_ctl.push(Resource::new(format!("mc{}", n.0)));
-            mem_bw.push(topo.node(n).dram_bw_bytes_per_ns);
+            mem_bw.push(Bandwidth::new(topo.node(n).dram_bw_bytes_per_ns));
         }
         Interconnect {
             links,
@@ -96,16 +127,16 @@ impl Interconnect {
         start = start.max(self.mem_ctl[src.index()].busy_until());
         // Occupy them for their own service windows.
         for l in route {
-            let svc = (bytes as f64 / self.link_bw[l.index()]).round() as u64;
+            let svc = self.link_bw[l.index()].service_ns(bytes);
             self.links[l.index()].occupy(start, svc);
         }
-        let src_svc = (bytes as f64 / self.mem_bw[src.index()]).round() as u64;
+        let src_svc = self.mem_bw[src.index()].service_ns(bytes);
         self.mem_ctl[src.index()].occupy(start, src_svc);
         if dst != src {
-            let dst_svc = (bytes as f64 / self.mem_bw[dst.index()]).round() as u64;
+            let dst_svc = self.mem_bw[dst.index()].service_ns(bytes);
             self.mem_ctl[dst.index()].occupy(start, dst_svc);
         }
-        let duration = (bytes as f64 / initiator_bw).round() as u64;
+        let duration = round_ns(bytes as f64 / initiator_bw);
         TransferOutcome {
             start,
             end: start + duration,
@@ -132,10 +163,10 @@ impl Interconnect {
         }
         start = start.max(self.mem_ctl[mem.index()].busy_until());
         for l in route {
-            let svc = (bytes as f64 / self.link_bw[l.index()]).round() as u64;
+            let svc = self.link_bw[l.index()].service_ns(bytes);
             self.links[l.index()].occupy(start, svc);
         }
-        let svc = (bytes as f64 / self.mem_bw[mem.index()]).round() as u64;
+        let svc = self.mem_bw[mem.index()].service_ns(bytes);
         self.mem_ctl[mem.index()].occupy(start, svc);
         TransferOutcome {
             start,
@@ -239,6 +270,40 @@ mod tests {
         let t = ic.access(&topo, SimTime(10), NodeId(0), NodeId(1), 64, 100);
         assert_eq!(t.start, SimTime(10));
         assert_eq!(t.end, SimTime(110));
+    }
+
+    #[test]
+    fn cached_page_service_matches_direct_expression() {
+        for topo in [
+            presets::opteron_4p(),
+            presets::two_node(),
+            presets::tiered_4p2(),
+        ] {
+            let ic = Interconnect::new(&topo);
+            let direct = |bytes: u64, bw: f64| (bytes as f64 / bw).round() as u64;
+            for i in 0..topo.link_count() {
+                let bw = topo
+                    .link(numa_topology::LinkId(i as u16))
+                    .bandwidth_bytes_per_ns;
+                for bytes in [1, 64, PAGE_SIZE - 1, PAGE_SIZE, PAGE_SIZE + 1, 2 << 20] {
+                    assert_eq!(
+                        ic.link_bw[i].service_ns(bytes),
+                        direct(bytes, bw),
+                        "link {i}"
+                    );
+                }
+            }
+            for n in topo.node_ids() {
+                let bw = topo.node(n).dram_bw_bytes_per_ns;
+                for bytes in [1, 64, PAGE_SIZE - 1, PAGE_SIZE, PAGE_SIZE + 1, 2 << 20] {
+                    assert_eq!(
+                        ic.mem_bw[n.index()].service_ns(bytes),
+                        direct(bytes, bw),
+                        "{n}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

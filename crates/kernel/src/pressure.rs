@@ -246,11 +246,10 @@ impl Kernel {
         protect_vpn: Option<u64>,
         b: &mut Breakdown,
     ) -> (SimTime, u64) {
-        let topo = self.topology().clone();
-        let cost = topo.cost();
+        let control_ns = self.topo.cost().migrate_pages_control_ns;
         self.counters.bump(Counter::DirectReclaims);
         let batch = u64::from(self.config.pressure.reclaim_batch);
-        let prefer_slow = self.config.tiering && topo.is_tiered();
+        let prefer_slow = self.config.tiering && self.topo.is_tiered();
         let mut t = now;
         let mut scanned = 0u64;
         let mut reclaimed = 0u64;
@@ -290,7 +289,7 @@ impl Kernel {
             if self.inject(t, FaultSite::Reclaim).is_some() {
                 // Injected failure: the victim is pinned/busy. Skip it,
                 // charging only the failed isolate attempt.
-                self.charge_failed_page(&mut t, b, cost, CostComponent::MigratePagesWalk);
+                self.charge_failed_page(&mut t, b, CostComponent::MigratePagesWalk);
                 continue;
             }
             let Some(pte) = space.page_table.get(vpn) else {
@@ -308,7 +307,7 @@ impl Kernel {
                 node,
                 dest,
                 PAGE_SIZE,
-                cost.migrate_pages_control_ns,
+                control_ns,
                 CostComponent::MigratePagesWalk,
                 CostComponent::FaultCopy,
                 b,
@@ -372,42 +371,42 @@ impl Kernel {
         now: SimTime,
         vpn: u64,
         node: NodeId,
-    ) -> (SimTime, Breakdown, Option<PageStatus>) {
-        let topo = self.topology().clone();
-        let cost = topo.cost();
-        let mut b = Breakdown::new();
+        b: &mut Breakdown,
+    ) -> (SimTime, Option<PageStatus>) {
+        let cost = self.topo.cost();
+        let (control_ns, huge_bytes) = (cost.migrate_pages_control_ns, cost.huge_page_size);
         let mut t = now;
         let Some(pte) = space.page_table.get(vpn) else {
-            return (t, b, None);
+            return (t, None);
         };
         if frames.node_of(pte.frame) != node {
-            return (t, b, None);
+            return (t, None);
         }
         let huge = pte.flags.contains(PteFlags::HUGE);
         if (huge && !self.config.huge_page_migration) || pte.flags.contains(PteFlags::REPLICA) {
             // Unmovable here: huge without the migration extension, or a
             // replicated page (its replica set pins the home frame).
-            return (t, b, None);
+            return (t, None);
         }
         if pte.shadow.is_some() {
             // A transactional tier migration is mid-flight on this page;
             // come back after it commits or aborts.
-            self.charge_failed_page(&mut t, &mut b, cost, CostComponent::MigratePagesWalk);
-            return (t, b, Some(PageStatus::Busy));
+            self.charge_failed_page(&mut t, b, CostComponent::MigratePagesWalk);
+            return (t, Some(PageStatus::Busy));
         }
         let old_frame = pte.frame;
-        let bytes = if huge { cost.huge_page_size } else { PAGE_SIZE };
+        let bytes = if huge { huge_bytes } else { PAGE_SIZE };
 
         // Injection decision precedes all side effects (see move_one_page).
         match self.inject(t, FaultSite::Evacuation) {
             Some(FaultKind::TransientCopy) => {
-                self.charge_failed_page(&mut t, &mut b, cost, CostComponent::MigratePagesWalk);
-                return (t, b, Some(PageStatus::Busy));
+                self.charge_failed_page(&mut t, b, CostComponent::MigratePagesWalk);
+                return (t, Some(PageStatus::Busy));
             }
             Some(FaultKind::FrameExhausted) => {
-                self.charge_failed_page(&mut t, &mut b, cost, CostComponent::MigratePagesWalk);
+                self.charge_failed_page(&mut t, b, CostComponent::MigratePagesWalk);
                 self.degrade(t, vpn, "frame_exhausted");
-                return (t, b, Some(PageStatus::NoMemory));
+                return (t, Some(PageStatus::NoMemory));
             }
             Some(FaultKind::RacingUnmap) => {
                 // Discovered mid-copy: the wasted copy work is real.
@@ -416,26 +415,26 @@ impl Kernel {
                     node,
                     node,
                     bytes,
-                    cost.migrate_pages_control_ns,
+                    control_ns,
                     CostComponent::MigratePagesWalk,
                     CostComponent::FaultCopy,
-                    &mut b,
+                    b,
                 );
                 self.degrade(t, vpn, "racing_unmap");
-                return (t, b, Some(PageStatus::NotPresent));
+                return (t, Some(PageStatus::NotPresent));
             }
             None => {}
         }
 
         let Some(dest) = self.pick_dest(frames, node, false) else {
-            self.charge_failed_page(&mut t, &mut b, cost, CostComponent::MigratePagesWalk);
+            self.charge_failed_page(&mut t, b, CostComponent::MigratePagesWalk);
             self.degrade(t, vpn, "no_destination");
-            return (t, b, Some(PageStatus::NoMemory));
+            return (t, Some(PageStatus::NoMemory));
         };
         let Some(new_frame) = self.alloc_frame(frames, dest, None) else {
-            self.charge_failed_page(&mut t, &mut b, cost, CostComponent::MigratePagesWalk);
+            self.charge_failed_page(&mut t, b, CostComponent::MigratePagesWalk);
             self.degrade(t, vpn, "frame_exhausted");
-            return (t, b, Some(PageStatus::NoMemory));
+            return (t, Some(PageStatus::NoMemory));
         };
         let copy_start = t;
         t = self.locked_migration_copy(
@@ -443,10 +442,10 @@ impl Kernel {
             node,
             dest,
             bytes,
-            cost.migrate_pages_control_ns,
+            control_ns,
             CostComponent::MigratePagesWalk,
             CostComponent::FaultCopy,
-            &mut b,
+            b,
         );
         self.trace.record(
             copy_start,
@@ -462,7 +461,7 @@ impl Kernel {
             frames.free(new_frame);
             self.counters.bump(Counter::FramesFreed);
             self.degrade(t, vpn, "racing_unmap");
-            return (t, b, Some(PageStatus::NotPresent));
+            return (t, Some(PageStatus::NotPresent));
         };
         entry.frame = new_frame;
         drop(entry); // write back before the replica sync reads it
@@ -473,7 +472,7 @@ impl Kernel {
             self.counters.bump(Counter::HugePagesMoved);
         }
         t = self.pt_note_update(space, t, PageRange::new(vpn, vpn + 1));
-        (t, b, Some(PageStatus::Moved(dest)))
+        (t, Some(PageStatus::Moved(dest)))
     }
 }
 
@@ -668,12 +667,13 @@ mod tests {
             }
             fx.kernel
                 .node_offline_begin(&mut fx.frames, SimTime::ZERO, NodeId(0));
-            let (_, _, st) = fx.kernel.evacuate_page_step(
+            let (_, st) = fx.kernel.evacuate_page_step(
                 &mut fx.space,
                 &mut fx.frames,
                 SimTime::ZERO,
                 base.vpn(),
                 NodeId(0),
+                &mut Breakdown::new(),
             );
             (fx, base, st)
         };

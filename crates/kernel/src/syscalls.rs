@@ -14,7 +14,7 @@
 use crate::Kernel;
 use numa_sim::{SimTime, TraceEventKind};
 use numa_stats::{Breakdown, CostComponent, Counter};
-use numa_topology::{CoreId, NodeId};
+use numa_topology::{round_ns, CoreId, NodeId};
 use numa_vm::{
     AddressSpace, FrameAllocator, MemPolicy, PageRange, Protection, PteFlags, Tlb, VirtAddr,
     VmError, VmaKind, PAGES_PER_HUGE, PAGE_SIZE,
@@ -84,7 +84,8 @@ impl Kernel {
         }
         self.trace
             .record(now, TraceEventKind::SyscallEnter { name: "move_pages" });
-        let (mut t, mut b) = self.move_pages_begin(now);
+        let mut b = Breakdown::new();
+        let mut t = self.move_pages_begin(now, &mut b);
 
         let n = pages.len();
         let unpatched_n = if self.config.patched_move_pages { 0 } else { n };
@@ -100,9 +101,8 @@ impl Kernel {
             } else {
                 quadratic_lookup(dest, i)
             };
-            let (end, sb, st) = self.move_page_step(space, frames, t, *addr, dst, unpatched_n);
+            let (end, st) = self.move_page_step(space, frames, t, *addr, dst, unpatched_n, &mut b);
             t = end;
-            b.merge(&sb);
             if matches!(st, PageStatus::Moved(_)) {
                 moved += 1;
             }
@@ -110,9 +110,7 @@ impl Kernel {
         }
 
         // One batched shootdown for the whole call.
-        let (end, sb) = self.migration_shootdown(tlb, t, core);
-        t = end;
-        b.merge(&sb);
+        t = self.migration_shootdown(tlb, t, core, &mut b);
 
         self.trace.record(
             now,
@@ -135,24 +133,26 @@ impl Kernel {
     /// The base bookkeeping of a `move_pages` call (taking the mmap lock),
     /// exposed so the machine engine can execute syscalls page-by-page and
     /// keep concurrent callers correctly interleaved in virtual time.
-    pub fn move_pages_begin(&mut self, now: SimTime) -> (SimTime, Breakdown) {
-        let mut b = Breakdown::new();
-        let cost = self.topology().cost();
+    ///
+    /// This and the other engine micro-steps below add their costs to the
+    /// caller's `b`, like [`Kernel::handle_fault`]: they run once per
+    /// page, and a fresh breakdown per step only to merge it was waste.
+    pub fn move_pages_begin(&mut self, now: SimTime, b: &mut Breakdown) -> SimTime {
+        let cost = self.topo.cost();
         let base = cost.move_pages_base_ns;
-        let end = if cost.mmap_lock_serializes_base {
+        if cost.mmap_lock_serializes_base {
             self.locks
-                .mmap_locked(now, base, CostComponent::MovePagesControl, &mut b)
+                .mmap_locked(now, base, CostComponent::MovePagesControl, b)
         } else {
             b.add(CostComponent::MovePagesControl, base);
             now + base
-        };
-        (end, b)
+        }
     }
 
     /// Migrate one page of an in-progress `move_pages` call (engine
     /// micro-step). `unpatched_n` is the destination-array length, used to
     /// charge the historical quadratic lookup when the kernel is
-    /// un-patched. Returns the completion time, costs, and the page status.
+    /// un-patched. Returns the completion time and the page status.
     #[allow(clippy::too_many_arguments)]
     pub fn move_page_step(
         &mut self,
@@ -162,22 +162,20 @@ impl Kernel {
         addr: VirtAddr,
         dest: NodeId,
         unpatched_n: usize,
-    ) -> (SimTime, Breakdown, PageStatus) {
-        let topo = self.topology().clone();
-        let cost = topo.cost();
-        let mut b = Breakdown::new();
+        b: &mut Breakdown,
+    ) -> (SimTime, PageStatus) {
         let mut t = now;
         if !self.config.patched_move_pages && unpatched_n > 0 {
             let lookup_ns =
-                (cost.unpatched_lookup_ns_per_entry * unpatched_n as f64).round() as u64;
+                round_ns(self.topo.cost().unpatched_lookup_ns_per_entry * unpatched_n as f64);
             b.add(CostComponent::QuadraticLookup, lookup_ns);
             t += lookup_ns;
         }
-        let status = self.move_one_page(space, frames, &mut t, &mut b, addr, dest, cost);
+        let status = self.move_one_page(space, frames, &mut t, b, addr, dest);
         if matches!(status, PageStatus::Moved(_)) {
             self.counters.add(Counter::PagesMovedSyscall, 1);
         }
-        (t, b, status)
+        (t, status)
     }
 
     /// The batched TLB shootdown that ends a migration syscall (engine
@@ -187,30 +185,28 @@ impl Kernel {
         tlb: &mut Tlb,
         now: SimTime,
         core: CoreId,
-    ) -> (SimTime, Breakdown) {
-        let mut b = Breakdown::new();
+        b: &mut Breakdown,
+    ) -> SimTime {
         let hit = tlb.shootdown_all(core);
         self.counters.bump(Counter::TlbShootdowns);
-        let flush = self.topology().cost().tlb_flush_ns(hit);
+        let flush = self.topo.cost().tlb_flush_ns(hit);
         b.add(CostComponent::TlbFlush, flush);
         self.trace
             .record(now, TraceEventKind::TlbShootdown { dur_ns: flush });
-        (now + flush, b)
+        now + flush
     }
 
     /// The base bookkeeping of `migrate_pages` (engine micro-path).
-    pub fn migrate_pages_begin(&mut self, now: SimTime) -> (SimTime, Breakdown) {
-        let mut b = Breakdown::new();
-        let cost = self.topology().cost();
+    pub fn migrate_pages_begin(&mut self, now: SimTime, b: &mut Breakdown) -> SimTime {
+        let cost = self.topo.cost();
         let base = cost.migrate_pages_base_ns;
-        let end = if cost.mmap_lock_serializes_base {
+        if cost.mmap_lock_serializes_base {
             self.locks
-                .mmap_locked(now, base, CostComponent::MigratePagesWalk, &mut b)
+                .mmap_locked(now, base, CostComponent::MigratePagesWalk, b)
         } else {
             b.add(CostComponent::MigratePagesWalk, base);
             now + base
-        };
-        (end, b)
+        }
     }
 
     /// Migrate one page of an in-progress `migrate_pages` walk (engine
@@ -225,46 +221,50 @@ impl Kernel {
         vpn: u64,
         from: &[NodeId],
         to: &[NodeId],
-    ) -> (SimTime, Breakdown, Option<PageStatus>) {
-        let topo = self.topology().clone();
-        let cost = topo.cost();
-        let mut b = Breakdown::new();
+        b: &mut Breakdown,
+    ) -> (SimTime, Option<PageStatus>) {
+        let cost = self.topo.cost();
+        let (control_ns, lock_fraction, huge_bytes) = (
+            cost.migrate_pages_control_ns,
+            cost.pt_lock_fraction,
+            cost.huge_page_size,
+        );
         let mut t = now;
         let Some(pte) = space.page_table.get(vpn) else {
-            return (t, b, None);
+            return (t, None);
         };
         if pte.flags.contains(PteFlags::HUGE) && !self.config.huge_page_migration {
-            return (t, b, None);
+            return (t, None);
         }
         let old_frame = pte.frame;
         let huge = pte.flags.contains(PteFlags::HUGE);
         let src = frames.node_of(old_frame);
         let Some(pos) = from.iter().position(|n| *n == src) else {
-            return (t, b, None);
+            return (t, None);
         };
         let dst = to[pos];
         if src == dst {
             t = self.locks.pt_serialized(
                 t,
-                cost.migrate_pages_control_ns,
-                cost.pt_lock_fraction,
+                control_ns,
+                lock_fraction,
                 CostComponent::MigratePagesWalk,
-                &mut b,
+                b,
             );
             self.counters.bump(Counter::PagesAlreadyPlaced);
-            return (t, b, Some(PageStatus::AlreadyThere(dst)));
+            return (t, Some(PageStatus::AlreadyThere(dst)));
         }
-        let bytes = if huge { cost.huge_page_size } else { PAGE_SIZE };
+        let bytes = if huge { huge_bytes } else { PAGE_SIZE };
         // Injection decision precedes all side effects (see move_one_page).
         match self.inject(t, numa_sim::FaultSite::MigratePagesCopy) {
             Some(numa_sim::FaultKind::TransientCopy) => {
-                self.charge_failed_page(&mut t, &mut b, cost, CostComponent::MigratePagesWalk);
-                return (t, b, Some(PageStatus::Busy));
+                self.charge_failed_page(&mut t, b, CostComponent::MigratePagesWalk);
+                return (t, Some(PageStatus::Busy));
             }
             Some(numa_sim::FaultKind::FrameExhausted) => {
-                self.charge_failed_page(&mut t, &mut b, cost, CostComponent::MigratePagesWalk);
+                self.charge_failed_page(&mut t, b, CostComponent::MigratePagesWalk);
                 self.degrade(t, vpn, "frame_exhausted");
-                return (t, b, Some(PageStatus::NoMemory));
+                return (t, Some(PageStatus::NoMemory));
             }
             Some(numa_sim::FaultKind::RacingUnmap) => {
                 t = self.locked_migration_copy(
@@ -272,20 +272,20 @@ impl Kernel {
                     src,
                     dst,
                     bytes,
-                    cost.migrate_pages_control_ns,
+                    control_ns,
                     CostComponent::MigratePagesWalk,
                     CostComponent::FaultCopy,
-                    &mut b,
+                    b,
                 );
                 self.degrade(t, vpn, "racing_unmap");
-                return (t, b, Some(PageStatus::NotPresent));
+                return (t, Some(PageStatus::NotPresent));
             }
             None => {}
         }
         let Some(new_frame) = self.alloc_frame(frames, dst, None) else {
-            self.charge_failed_page(&mut t, &mut b, cost, CostComponent::MigratePagesWalk);
+            self.charge_failed_page(&mut t, b, CostComponent::MigratePagesWalk);
             self.degrade(t, vpn, "frame_exhausted");
-            return (t, b, Some(PageStatus::NoMemory));
+            return (t, Some(PageStatus::NoMemory));
         };
         let copy_start = t;
         t = self.locked_migration_copy(
@@ -293,10 +293,10 @@ impl Kernel {
             src,
             dst,
             bytes,
-            cost.migrate_pages_control_ns,
+            control_ns,
             CostComponent::MigratePagesWalk,
             CostComponent::FaultCopy,
-            &mut b,
+            b,
         );
         self.trace.record(
             copy_start,
@@ -314,7 +314,7 @@ impl Kernel {
             frames.free(new_frame);
             self.counters.bump(Counter::FramesFreed);
             self.degrade(t, vpn, "racing_unmap");
-            return (t, b, Some(PageStatus::NotPresent));
+            return (t, Some(PageStatus::NotPresent));
         };
         entry.frame = new_frame;
         drop(entry); // write back before the replica sync reads it
@@ -322,7 +322,7 @@ impl Kernel {
         self.counters.bump(Counter::FramesFreed);
         self.counters.add(Counter::PagesMovedProcess, 1);
         t = self.pt_note_update(space, t, PageRange::new(vpn, vpn + 1));
-        (t, b, Some(PageStatus::Moved(dst)))
+        (t, Some(PageStatus::Moved(dst)))
     }
 
     /// Migrate a single page for `move_pages`; shared by the huge-page
@@ -336,8 +336,13 @@ impl Kernel {
         b: &mut Breakdown,
         addr: VirtAddr,
         dst: NodeId,
-        cost: &numa_topology::CostModel,
     ) -> PageStatus {
+        let cost = self.topo.cost();
+        let (control_ns, lock_fraction, huge_bytes) = (
+            cost.move_pages_control_ns,
+            cost.pt_lock_fraction,
+            cost.huge_page_size,
+        );
         let Some(vma) = space.find_vma(addr) else {
             return PageStatus::NoVma;
         };
@@ -351,7 +356,7 @@ impl Kernel {
         let Some(pte) = space.page_table.get(vpn) else {
             // A not-present page still costs the lookup and isolate
             // attempt under the page-table lock (cheaper than a move).
-            self.charge_failed_page(t, b, cost, CostComponent::MovePagesControl);
+            self.charge_failed_page(t, b, CostComponent::MovePagesControl);
             return PageStatus::NotPresent;
         };
         let old_frame = pte.frame;
@@ -363,8 +368,8 @@ impl Kernel {
             // manipulations").
             *t = self.locks.pt_serialized(
                 *t,
-                cost.move_pages_control_ns,
-                cost.pt_lock_fraction,
+                control_ns,
+                lock_fraction,
                 CostComponent::MovePagesControl,
                 b,
             );
@@ -377,11 +382,11 @@ impl Kernel {
         // byte-identical and an injected fault charges only failure costs.
         match self.inject(*t, numa_sim::FaultSite::MovePagesCopy) {
             Some(numa_sim::FaultKind::TransientCopy) => {
-                self.charge_failed_page(t, b, cost, CostComponent::MovePagesControl);
+                self.charge_failed_page(t, b, CostComponent::MovePagesControl);
                 return PageStatus::Busy;
             }
             Some(numa_sim::FaultKind::FrameExhausted) => {
-                self.charge_failed_page(t, b, cost, CostComponent::MovePagesControl);
+                self.charge_failed_page(t, b, CostComponent::MovePagesControl);
                 self.degrade(*t, vpn, "frame_exhausted");
                 return PageStatus::NoMemory;
             }
@@ -392,8 +397,8 @@ impl Kernel {
                     *t,
                     src,
                     dst,
-                    if huge { cost.huge_page_size } else { PAGE_SIZE },
-                    cost.move_pages_control_ns,
+                    if huge { huge_bytes } else { PAGE_SIZE },
+                    control_ns,
                     CostComponent::MovePagesControl,
                     CostComponent::MovePagesCopy,
                     b,
@@ -405,18 +410,18 @@ impl Kernel {
         }
 
         let Some(new_frame) = self.alloc_frame(frames, dst, None) else {
-            self.charge_failed_page(t, b, cost, CostComponent::MovePagesControl);
+            self.charge_failed_page(t, b, CostComponent::MovePagesControl);
             self.degrade(*t, vpn, "frame_exhausted");
             return PageStatus::NoMemory;
         };
-        let bytes = if huge { cost.huge_page_size } else { PAGE_SIZE };
+        let bytes = if huge { huge_bytes } else { PAGE_SIZE };
         let copy_start = *t;
         *t = self.locked_migration_copy(
             *t,
             src,
             dst,
             bytes,
-            cost.move_pages_control_ns,
+            control_ns,
             CostComponent::MovePagesControl,
             CostComponent::MovePagesCopy,
             b,
@@ -459,9 +464,9 @@ impl Kernel {
         &mut self,
         t: &mut SimTime,
         b: &mut Breakdown,
-        cost: &numa_topology::CostModel,
         component: CostComponent,
     ) {
+        let cost = self.topo.cost();
         *t = self.locks.pt_serialized(
             *t,
             cost.move_pages_control_ns,
@@ -502,16 +507,16 @@ impl Kernel {
                 name: "migrate_pages",
             },
         );
-        let (mut t, mut b) = self.migrate_pages_begin(now);
+        let mut b = Breakdown::new();
+        let mut t = self.migrate_pages_begin(now, &mut b);
 
         let mut moved = 0u64;
         let mut status = Vec::new();
         // The ordered walk is what gives migrate_pages its better locality
         // and lower per-page control cost (§4.2).
         for vpn in space.page_table.sorted_vpns() {
-            let (end, sb, st) = self.migrate_page_step(space, frames, t, vpn, from, to);
+            let (end, st) = self.migrate_page_step(space, frames, t, vpn, from, to, &mut b);
             t = end;
-            b.merge(&sb);
             if let Some(st) = st {
                 if matches!(st, PageStatus::Moved(_)) {
                     moved += 1;
@@ -520,9 +525,7 @@ impl Kernel {
             }
         }
 
-        let (end, sb) = self.migration_shootdown(tlb, t, core);
-        t = end;
-        b.merge(&sb);
+        t = self.migration_shootdown(tlb, t, core, &mut b);
 
         self.trace.record(
             now,
@@ -785,7 +788,8 @@ impl Kernel {
     ) -> Result<MovePagesResult, VmError> {
         self.mbind(space, now, range, policy.clone())?;
         let local = self.topology().node_of_core(core);
-        let (mut t, mut b) = self.move_pages_begin(now);
+        let mut b = Breakdown::new();
+        let mut t = self.move_pages_begin(now, &mut b);
         let mut moved = 0u64;
         let mut status = Vec::new();
         // One linear walk snapshots the mapped vpns of the range; the
@@ -802,18 +806,15 @@ impl Kernel {
                 status.push(PageStatus::AlreadyThere(want));
                 continue;
             }
-            let (end, sb, st) =
-                self.move_page_step(space, frames, t, VirtAddr::from_vpn(vpn), want, 0);
+            let (end, st) =
+                self.move_page_step(space, frames, t, VirtAddr::from_vpn(vpn), want, 0, &mut b);
             t = end;
-            b.merge(&sb);
             if matches!(st, PageStatus::Moved(_)) {
                 moved += 1;
             }
             status.push(st);
         }
-        let (end, sb) = self.migration_shootdown(tlb, t, core);
-        t = end;
-        b.merge(&sb);
+        t = self.migration_shootdown(tlb, t, core, &mut b);
         Ok(MovePagesResult {
             outcome: SyscallOutcome {
                 end: t,

@@ -76,8 +76,6 @@ impl Kernel {
         b: &mut Breakdown,
     ) -> Option<SimTime> {
         debug_assert!(self.config.tiering, "tiering disabled in KernelConfig");
-        let topo = self.topology().clone();
-        let cost = topo.cost();
         let pte = space.page_table.get(vpn)?;
         if !pte.flags.contains(PteFlags::PRESENT)
             || pte.flags.contains(PteFlags::HUGE)
@@ -121,6 +119,7 @@ impl Kernel {
         // Short critical section: allocate the shadow PTE slot and
         // snapshot the generation. Deliberately much smaller than the
         // stop-the-world control cost — no unmap, no rmap walk.
+        let cost = self.topo.cost();
         let t = self.locks.pt_serialized(
             now,
             cost.tier_txn_control_ns,
@@ -131,7 +130,7 @@ impl Kernel {
         // The copy itself runs with no lock held: full kernel copy
         // bandwidth, contending only on links and memory controllers.
         let xfer = self.interconnect.transfer(
-            &topo,
+            &self.topo,
             t,
             src_node,
             dst_node,
@@ -188,8 +187,7 @@ impl Kernel {
             .pending_txns
             .remove(&vpn)
             .unwrap_or_else(|| panic!("tier commit without begin for vpn {vpn}"));
-        let topo = self.topology().clone();
-        let cost = topo.cost();
+        let cost = self.topo.cost();
 
         // A poisoned (fault-injected) copy aborts unconditionally.
         // Otherwise the page may have been remapped out from under the
@@ -291,7 +289,7 @@ impl Kernel {
             return None;
         };
 
-        let cost_control = self.topology().cost().move_pages_control_ns;
+        let cost_control = self.topo.cost().move_pages_control_ns;
         let end = self.locked_migration_copy(
             now,
             src_node,
@@ -357,8 +355,7 @@ impl Kernel {
     ) {
         let Some(src) = src_node else { return };
         let dst = frames.node_of(dst_frame);
-        let topo = self.topology().clone();
-        match (topo.tier_of(src), topo.tier_of(dst)) {
+        match (self.topo.tier_of(src), self.topo.tier_of(dst)) {
             (MemTier::Slow, MemTier::Dram) => {
                 self.counters.bump(Counter::TierPromotions);
                 self.trace.record(

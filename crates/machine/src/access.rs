@@ -7,7 +7,7 @@ use crate::Machine;
 use numa_kernel::FaultResolution;
 use numa_sim::{SimTime, TraceEventKind};
 use numa_stats::{CostComponent, Counter};
-use numa_topology::{CoreId, NodeId};
+use numa_topology::{round_ns, CoreId, NodeId};
 use numa_vm::{PageRange, VirtAddr, PAGE_SIZE};
 
 /// Upper bound on fault-retry loops per touch; exceeding it means the
@@ -343,7 +343,7 @@ impl Machine {
         if self.caches[core_node.index()].touch(vpn) {
             // Served from the node's shared L3.
             batch.cache_hits += 1;
-            now += (portion as f64 / self.topo.cost().l3_bw).round() as u64;
+            now += round_ns(portion as f64 / self.topo.cost().l3_bw);
         } else {
             batch.cache_misses += 1;
             // Split the charged traffic into the DRAM part (the fill,
@@ -369,8 +369,8 @@ impl Machine {
             let tier_lat = cost.tier_latency_mult(tier);
             let tier_bw = cost.tier_bw_mult(tier);
             let latency_ns =
-                (lines as f64 * cost.dram_latency_ns * exposure * factor * tier_lat).round() as u64;
-            let bw_ns = (dram_bytes as f64 / (cost.core_mem_bw * tier_bw) * factor).round() as u64;
+                round_ns(lines as f64 * cost.dram_latency_ns * exposure * factor * tier_lat);
+            let bw_ns = round_ns(dram_bytes as f64 / (cost.core_mem_bw * tier_bw) * factor);
             let l3_bw = cost.l3_bw;
             let xfer = self.kernel.interconnect.access(
                 &self.topo,
@@ -381,7 +381,7 @@ impl Machine {
                 latency_ns + bw_ns,
             );
             now = xfer.end;
-            now += (l3_bytes as f64 / l3_bw).round() as u64;
+            now += round_ns(l3_bytes as f64 / l3_bw);
             if home == core_node {
                 batch.local += 1;
             } else {
@@ -409,7 +409,7 @@ impl Machine {
         let Some(placement) = self.space.pt_placement() else {
             return now;
         };
-        let topo = self.topology().clone();
+        let topo = &self.topo;
         let cost = topo.cost();
         let mut now = now;
         let pt_home = match placement {
@@ -440,7 +440,7 @@ impl Machine {
             MemAccessKind::Blocked => cost.tlb_miss_rate_blocked,
             MemAccessKind::Random => cost.tlb_miss_rate_random,
         };
-        let walk = (miss * cost.pt_walk_ns(hops)).round() as u64;
+        let walk = round_ns(miss * cost.pt_walk_ns(hops));
         if hops > 0 && walk > 0 {
             stats.counters.bump(Counter::PtWalksRemote);
         }
@@ -460,8 +460,7 @@ impl Machine {
         bytes: u64,
         stats: &mut RunStats,
     ) -> SimTime {
-        let topo = self.topology().clone();
-        let cost = topo.cost();
+        let copy_bw = self.topo.cost().user_copy_bw;
         let mut off = 0u64;
         while off < bytes {
             let chunk = (PAGE_SIZE - (src + off).page_offset()).min(bytes - off);
@@ -472,14 +471,10 @@ impl Machine {
                 return now;
             }
             let start = now;
-            let xfer = self.kernel.interconnect.transfer(
-                &topo,
-                now,
-                src_node,
-                dst_node,
-                chunk,
-                cost.user_copy_bw,
-            );
+            let xfer = self
+                .kernel
+                .interconnect
+                .transfer(&self.topo, now, src_node, dst_node, chunk, copy_bw);
             now = xfer.end;
             stats
                 .breakdown

@@ -10,7 +10,7 @@ use crate::op::Op;
 use crate::Machine;
 use numa_sim::{BarrierOutcome, BarrierState, ReadyQueue, SimTime, TraceEventKind};
 use numa_stats::{Breakdown, CostComponent, Counter, Counters};
-use numa_topology::CoreId;
+use numa_topology::{round_ns, CoreId};
 
 /// Context passed to a program when the engine asks for its next op.
 pub struct ProgramCtx<'a> {
@@ -438,7 +438,7 @@ impl Machine {
                     // construction.
                     if tracing {
                         self.trace.set_thread(tid);
-                        snap.clone_from(&stats.breakdown);
+                        *snap = stats.breakdown;
                     }
                     let end = self.exec_micro(tid, core, now, micro, state, stats, &mut batch);
                     if tracing {
@@ -791,26 +791,22 @@ impl Machine {
                 let op = state.micro.take_whole(i);
                 self.exec_whole(tid, core, now, op, stats)
             }
-            Micro::MovePagesBegin => {
-                let (end, b) = self.kernel.move_pages_begin(now);
-                stats.breakdown.merge(&b);
-                end
-            }
+            Micro::MovePagesBegin => self.kernel.move_pages_begin(now, &mut stats.breakdown),
             Micro::MovePage {
                 addr,
                 dest,
                 unpatched_n,
                 retries_left,
             } => {
-                let (end, b, status) = self.kernel.move_page_step(
+                let (end, status) = self.kernel.move_page_step(
                     &mut self.space,
                     &mut self.frames,
                     now,
                     addr,
                     dest,
                     unpatched_n,
+                    &mut stats.breakdown,
                 );
-                stats.breakdown.merge(&b);
                 if status == numa_kernel::PageStatus::Busy
                     && self.note_transient_failure(end, addr.vpn(), retries_left)
                 {
@@ -823,25 +819,21 @@ impl Machine {
                 }
                 end
             }
-            Micro::MigratePagesBegin => {
-                let (end, b) = self.kernel.migrate_pages_begin(now);
-                stats.breakdown.merge(&b);
-                end
-            }
+            Micro::MigratePagesBegin => self.kernel.migrate_pages_begin(now, &mut stats.breakdown),
             Micro::MigratePage { vpn, retries_left } => {
                 let (from, to) = state
                     .migrate_args
                     .as_ref()
                     .expect("migrate_args set when the walk was expanded");
-                let (end, b, status) = self.kernel.migrate_page_step(
+                let (end, status) = self.kernel.migrate_page_step(
                     &mut self.space,
                     &mut self.frames,
                     now,
                     vpn,
                     from,
                     to,
+                    &mut stats.breakdown,
                 );
-                stats.breakdown.merge(&b);
                 if status == Some(numa_kernel::PageStatus::Busy)
                     && self.note_transient_failure(end, vpn, retries_left)
                 {
@@ -853,21 +845,18 @@ impl Machine {
                 end
             }
             Micro::MigrationShootdown => {
-                let (end, b) = self.kernel.migration_shootdown(&mut self.tlb, now, core);
-                stats.breakdown.merge(&b);
-                end
+                self.kernel
+                    .migration_shootdown(&mut self.tlb, now, core, &mut stats.breakdown)
             }
             Micro::TierTxnBegin { vpn, dest } => {
-                let mut b = Breakdown::new();
                 let end = self.kernel.tier_txn_begin(
                     &mut self.space,
                     &mut self.frames,
                     now,
                     vpn,
                     dest,
-                    &mut b,
+                    &mut stats.breakdown,
                 );
-                stats.breakdown.merge(&b);
                 match end {
                     Some(t) => t,
                     None => {
@@ -888,15 +877,13 @@ impl Machine {
                 dest,
                 retries_left,
             } => {
-                let mut b = Breakdown::new();
                 let (end, outcome) = self.kernel.tier_txn_commit(
                     &mut self.space,
                     &mut self.frames,
                     now,
                     vpn,
-                    &mut b,
+                    &mut stats.breakdown,
                 );
-                stats.breakdown.merge(&b);
                 if outcome == numa_kernel::TxnOutcome::Aborted
                     && self.note_transient_failure(end, vpn, retries_left)
                 {
@@ -909,15 +896,17 @@ impl Machine {
                 }
                 end
             }
-            Micro::TierStwPage { vpn, dest } => {
-                let mut b = Breakdown::new();
-                let end = self
-                    .kernel
-                    .tier_stw_page(&mut self.space, &mut self.frames, now, vpn, dest, &mut b)
-                    .unwrap_or(now);
-                stats.breakdown.merge(&b);
-                end
-            }
+            Micro::TierStwPage { vpn, dest } => self
+                .kernel
+                .tier_stw_page(
+                    &mut self.space,
+                    &mut self.frames,
+                    now,
+                    vpn,
+                    dest,
+                    &mut stats.breakdown,
+                )
+                .unwrap_or(now),
             Micro::Touch {
                 page_addr,
                 portion,
@@ -939,14 +928,14 @@ impl Machine {
                 node,
                 retries_left,
             } => {
-                let (end, b, status) = self.kernel.evacuate_page_step(
+                let (end, status) = self.kernel.evacuate_page_step(
                     &mut self.space,
                     &mut self.frames,
                     now,
                     vpn,
                     node,
+                    &mut stats.breakdown,
                 );
-                stats.breakdown.merge(&b);
                 if status == Some(numa_kernel::PageStatus::Busy)
                     && self.note_transient_failure(end, vpn, retries_left)
                 {
@@ -974,7 +963,7 @@ impl Machine {
             Op::Compute { flops, efficiency } => {
                 debug_assert!(efficiency > 0.0 && efficiency <= 1.0);
                 let rate = self.topology().core(core).flops_per_ns() * efficiency;
-                let ns = (flops as f64 / rate).round() as u64;
+                let ns = round_ns(flops as f64 / rate);
                 stats.breakdown.add(CostComponent::Compute, ns);
                 now + ns
             }

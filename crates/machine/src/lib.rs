@@ -69,8 +69,10 @@ pub struct Machine {
     /// Per-page access counters (vpn -> touches), bumped by the access
     /// model. The tiering daemon's hot/cold classification reads and
     /// decays this — the same sampling idea as AutoNUMA's scan hooks, but
-    /// driven by the simulated accesses themselves. A `BTreeMap` so that
-    /// daemon scans iterate in a deterministic order.
+    /// driven by the simulated accesses themselves. Nothing iterates it:
+    /// callers only `get`, `insert`, `entry`, `retain` and `clear`, and
+    /// daemon scans walk the page table in vpn order, looking each page
+    /// up here. Its ordering is therefore unobservable.
     pub heat: std::collections::BTreeMap<u64, u64>,
     /// Engine lookahead fast path (see `engine`): inline-continue a
     /// thread's micro-ops while no other thread is runnable before its

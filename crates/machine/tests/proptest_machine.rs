@@ -61,7 +61,7 @@ proptest! {
             let mut m = Machine::opteron_4p();
             let (specs, _) = build_workload(&mut m, &workload);
             let r = m.run(specs, &[]);
-            (r.makespan, r.thread_end.clone(), r.stats.breakdown.clone(),
+            (r.makespan, r.thread_end.clone(), r.stats.breakdown,
              m.kernel.counters.clone())
         };
         let a = run();
@@ -109,7 +109,7 @@ proptest! {
             let placement: Vec<_> = (0..64)
                 .map(|p| m.page_node(buf + p * PAGE_SIZE))
                 .collect();
-            (r.makespan, r.thread_end.clone(), r.stats.breakdown.clone(),
+            (r.makespan, r.thread_end.clone(), r.stats.breakdown,
              m.kernel.counters.clone(), placement)
         };
         let disabled = run(None);

@@ -113,30 +113,33 @@ impl fmt::Display for CostComponent {
 }
 
 /// Accumulated virtual-nanosecond totals per [`CostComponent`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// A plain fixed-size value (`Copy`, no heap): the kernel's per-page
+/// steps and the engine's per-micro span diffs write into and snapshot
+/// breakdowns millions of times per run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Breakdown {
-    totals: Vec<u64>,
+    totals: [u64; CostComponent::ALL.len()],
 }
 
 impl Breakdown {
     /// An empty breakdown.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Breakdown {
-            totals: vec![0; CostComponent::ALL.len()],
+            totals: [0; CostComponent::ALL.len()],
         }
     }
 
     /// Add `ns` to `component`.
+    #[inline]
     pub fn add(&mut self, component: CostComponent, ns: u64) {
-        if self.totals.is_empty() {
-            self.totals = vec![0; CostComponent::ALL.len()];
-        }
         self.totals[component.index()] += ns;
     }
 
     /// Total for one component.
+    #[inline]
     pub fn get(&self, component: CostComponent) -> u64 {
-        self.totals.get(component.index()).copied().unwrap_or(0)
+        self.totals[component.index()]
     }
 
     /// Sum over all components.
@@ -156,21 +159,14 @@ impl Breakdown {
 
     /// Merge another breakdown into this one.
     pub fn merge(&mut self, other: &Breakdown) {
-        if self.totals.is_empty() {
-            self.totals = vec![0; CostComponent::ALL.len()];
-        }
-        for (i, v) in other.totals.iter().enumerate() {
-            if let Some(slot) = self.totals.get_mut(i) {
-                *slot += v;
-            }
+        for (slot, v) in self.totals.iter_mut().zip(other.totals) {
+            *slot += v;
         }
     }
 
     /// Reset all totals to zero.
     pub fn clear(&mut self) {
-        for v in &mut self.totals {
-            *v = 0;
-        }
+        *self = Breakdown::new();
     }
 
     /// Non-zero components in display order, as `(component, ns, percent)`.
@@ -225,6 +221,15 @@ mod tests {
         assert_eq!(b.total(), 0);
         assert_eq!(b.percent(CostComponent::FaultCopy), 0.0);
         assert!(b.entries().is_empty());
+    }
+
+    #[test]
+    fn default_equals_new() {
+        assert_eq!(Breakdown::default(), Breakdown::new());
+        let mut b = Breakdown::default();
+        b.add(CostComponent::Other, 1);
+        b.clear();
+        assert_eq!(b, Breakdown::new());
     }
 
     #[test]

@@ -39,9 +39,9 @@ proptest! {
             b
         };
         let (a, b) = (build(&xs), build(&ys));
-        let mut ab = a.clone();
+        let mut ab = a;
         ab.merge(&b);
-        let mut ba = b.clone();
+        let mut ba = b;
         ba.merge(&a);
         prop_assert_eq!(&ab, &ba);
         for c in CostComponent::ALL {

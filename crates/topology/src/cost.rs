@@ -5,6 +5,7 @@
 //! (the ablation benches sweep several). Defaults are calibrated against the
 //! paper's own measurements; each field's doc comment cites the source.
 
+use crate::round_ns;
 use serde::{Deserialize, Serialize};
 
 /// Timing and sizing constants for the simulated machine and kernel.
@@ -264,12 +265,12 @@ impl CostModel {
 
     /// Time to copy `bytes` in the kernel (the non-SIMD kernel copy loop).
     pub fn kernel_copy_ns(&self, bytes: u64) -> u64 {
-        (bytes as f64 / self.kernel_copy_bw).round() as u64
+        round_ns(bytes as f64 / self.kernel_copy_bw)
     }
 
     /// Time to copy `bytes` with a user-space SIMD streaming copy.
     pub fn user_copy_ns(&self, bytes: u64) -> u64 {
-        (bytes as f64 / self.user_copy_bw).round() as u64
+        round_ns(bytes as f64 / self.user_copy_bw)
     }
 
     /// Pages needed to back `bytes`.
@@ -325,8 +326,8 @@ impl CostModel {
         let nominal_copy_ns = self.kernel_copy_ns(bytes);
         MigrationQuanta {
             nominal_copy_ns,
-            serial_ns: (f * (control_ns + nominal_copy_ns) as f64).round() as u64,
-            parallel_ctl_ns: control_ns - (f * control_ns as f64).round() as u64,
+            serial_ns: round_ns(f * (control_ns + nominal_copy_ns) as f64),
+            parallel_ctl_ns: control_ns - round_ns(f * control_ns as f64),
             copy_bw: self.kernel_copy_bw / (1.0 - f),
         }
     }

@@ -8,9 +8,34 @@
 use numa_topology::NodeId;
 use serde::{Deserialize, Serialize};
 
-/// Identifier of a physical frame (unique machine-wide).
+/// Identifier of a physical frame: the frame-table slot index in the low
+/// 32 bits, the slot's generation in the high 32.
+///
+/// A slot is reused after its frame is freed, under a new generation, so
+/// an id is unique among all ids the allocator ever issued and a stale id
+/// (its frame freed, its slot perhaps holding another frame) never
+/// resolves. Simulated outputs depend only on a frame's node and
+/// contents, never on id values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct FrameId(pub u64);
+
+impl FrameId {
+    fn new(slot: u32, generation: u32) -> Self {
+        FrameId(u64::from(generation) << 32 | u64::from(slot))
+    }
+
+    /// Frame-table slot index.
+    #[inline]
+    fn slot(self) -> usize {
+        self.0 as u32 as usize
+    }
+
+    /// Generation of the slot this id was issued under.
+    #[inline]
+    fn generation(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+}
 
 /// Per-node memory-pressure level, derived from the free-frame count
 /// against the node's low/min watermarks (the Linux zone-watermark
@@ -54,19 +79,33 @@ pub struct Frame {
     pub write_gen: u64,
 }
 
+/// One frame-table slot: the frame, the generation its current id was
+/// issued under, and whether it holds a live frame. Kept in one record so
+/// a lookup is one bounds check and one indexed load.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct Slot {
+    frame: Frame,
+    generation: u32,
+    live: bool,
+}
+
 /// Machine-wide frame allocator with per-node accounting.
 ///
-/// Frame ids are never reused within one simulation, which turns
-/// use-after-free bugs in the kernel layer into loud lookup failures
-/// instead of silent aliasing. Because ids are dense and monotone, the
-/// frame table is index-addressed storage (`Vec<Option<Frame>>` slot per
-/// id ever issued): every lookup on the migration hot path is one bounds
-/// check and one indexed load, and a freed slot stays `None` forever so
-/// use-after-free still fails loudly.
+/// The frame table holds one slot per frame that is live *at once*, not
+/// one per frame ever allocated: `free` pushes the slot onto a free list
+/// and `alloc` pops it, so migration-heavy runs that allocate and free
+/// millions of frames keep a table the size of their peak live count.
+/// A reused slot gets a new generation, and every [`FrameId`] carries
+/// the generation it was issued under, so a use-after-free — a lookup,
+/// copy, write or free through an id whose frame was freed, whether or
+/// not the slot has been reused since — still fails loudly instead of
+/// silently aliasing the slot's new frame. (A slot would have to be
+/// reused 2^32 times before a stale id could match again.)
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FrameAllocator {
-    frames: Vec<Option<Frame>>,
-    next_id: u64,
+    slots: Vec<Slot>,
+    /// Indices of slots without a live frame, reused last-freed first.
+    free_slots: Vec<u32>,
     next_content: u64,
     /// Frames currently live per node.
     live_per_node: Vec<u64>,
@@ -101,8 +140,8 @@ impl FrameAllocator {
     pub fn with_capacities(capacity_per_node: Vec<u64>) -> Self {
         let nodes = capacity_per_node.len();
         FrameAllocator {
-            frames: Vec::new(),
-            next_id: 0,
+            slots: Vec::new(),
+            free_slots: Vec::new(),
             next_content: 0,
             live_per_node: vec![0; nodes],
             capacity_per_node,
@@ -125,37 +164,69 @@ impl FrameAllocator {
         if self.live_per_node[n] >= self.capacity_per_node[n] || self.offline[n] {
             return None;
         }
-        let id = FrameId(self.next_id);
-        self.next_id += 1;
-        let tag = self.next_content;
-        self.next_content += 1;
-        debug_assert_eq!(self.frames.len() as u64, id.0, "ids are dense");
-        self.frames.push(Some(Frame {
+        let frame = Frame {
             node,
-            content_tag: tag,
+            content_tag: self.next_content,
             write_gen: 0,
-        }));
+        };
+        self.next_content += 1;
+        let id = match self.free_slots.pop() {
+            Some(i) => {
+                let slot = &mut self.slots[i as usize];
+                slot.generation = slot.generation.wrapping_add(1);
+                slot.live = true;
+                slot.frame = frame;
+                FrameId::new(i, slot.generation)
+            }
+            None => {
+                let i =
+                    u32::try_from(self.slots.len()).expect("frame table full: 2^32 live frames");
+                self.slots.push(Slot {
+                    frame,
+                    generation: 0,
+                    live: true,
+                });
+                FrameId::new(i, 0)
+            }
+        };
         self.live_per_node[n] += 1;
         self.allocated_total += 1;
         Some(id)
     }
 
+    /// The live slot `id` names, or `None` if its frame was freed (the
+    /// slot may since hold a newer frame) or it was never issued.
+    #[inline]
+    fn slot(&self, id: FrameId) -> Option<&Slot> {
+        self.slots
+            .get(id.slot())
+            .filter(|s| s.live && s.generation == id.generation())
+    }
+
+    #[inline]
+    fn slot_mut(&mut self, id: FrameId) -> Option<&mut Slot> {
+        self.slots
+            .get_mut(id.slot())
+            .filter(|s| s.live && s.generation == id.generation())
+    }
+
     /// Free a frame. Panics on double-free or unknown frame — both are
     /// kernel-layer bugs, never workload conditions.
     pub fn free(&mut self, id: FrameId) {
-        let f = self
-            .frames
-            .get_mut(id.0 as usize)
-            .and_then(Option::take)
+        let slot = self
+            .slot_mut(id)
             .unwrap_or_else(|| panic!("free of unknown frame {id:?}"));
-        self.live_per_node[f.node.index()] -= 1;
+        slot.live = false;
+        let node = slot.frame.node;
+        self.free_slots.push(id.slot() as u32);
+        self.live_per_node[node.index()] -= 1;
         self.freed_total += 1;
     }
 
     /// Look up a live frame.
     #[inline]
     pub fn get(&self, id: FrameId) -> Option<&Frame> {
-        self.frames.get(id.0 as usize).and_then(Option::as_ref)
+        self.slot(id).map(|s| &s.frame)
     }
 
     /// The node a live frame resides on. Panics on unknown frames.
@@ -172,10 +243,9 @@ impl FrameAllocator {
             .get(src)
             .unwrap_or_else(|| panic!("copy from unknown frame {src:?}"))
             .content_tag;
-        self.frames
-            .get_mut(dst.0 as usize)
-            .and_then(Option::as_mut)
+        self.slot_mut(dst)
             .unwrap_or_else(|| panic!("copy to unknown frame {dst:?}"))
+            .frame
             .content_tag = tag;
     }
 
@@ -183,10 +253,9 @@ impl FrameAllocator {
     /// Panics on unknown frames.
     #[inline]
     pub fn note_write(&mut self, id: FrameId) {
-        self.frames
-            .get_mut(id.0 as usize)
-            .and_then(Option::as_mut)
+        self.slot_mut(id)
             .unwrap_or_else(|| panic!("write to unknown frame {id:?}"))
+            .frame
             .write_gen += 1;
     }
 
@@ -196,6 +265,12 @@ impl FrameAllocator {
         self.get(id)
             .unwrap_or_else(|| panic!("lookup of unknown frame {id:?}"))
             .write_gen
+    }
+
+    /// Slots in the frame table: the peak number of frames ever live at
+    /// once (host-side footprint diagnostics).
+    pub fn table_slots(&self) -> usize {
+        self.slots.len()
     }
 
     /// Frames currently live on `node`.
@@ -614,5 +689,68 @@ mod tests {
         fa.free(a);
         let b = fa.alloc(NodeId(0)).unwrap();
         assert_ne!(a, b);
+    }
+
+    /// Free `a`, then reuse its slot for a frame on another node: the
+    /// stale id must not resolve to the new frame.
+    fn reused_slot() -> (FrameAllocator, FrameId, FrameId) {
+        let mut fa = FrameAllocator::new(2, 10);
+        let a = fa.alloc(NodeId(0)).unwrap();
+        fa.free(a);
+        let b = fa.alloc(NodeId(1)).unwrap();
+        assert_eq!(fa.table_slots(), 1, "the freed slot was reused");
+        assert!(fa.get(a).is_none(), "stale id resolved after reuse");
+        assert_eq!(fa.node_of(b), NodeId(1));
+        (fa, a, b)
+    }
+
+    #[test]
+    #[should_panic(expected = "lookup of unknown frame")]
+    fn stale_node_of_after_reuse_panics() {
+        let (fa, stale, _) = reused_slot();
+        fa.node_of(stale);
+    }
+
+    #[test]
+    #[should_panic(expected = "free of unknown frame")]
+    fn stale_free_after_reuse_panics() {
+        let (mut fa, stale, _) = reused_slot();
+        fa.free(stale);
+    }
+
+    #[test]
+    #[should_panic(expected = "copy to unknown frame")]
+    fn stale_copy_after_reuse_panics() {
+        let (mut fa, stale, live) = reused_slot();
+        fa.copy_contents(live, stale);
+    }
+
+    #[test]
+    #[should_panic(expected = "write to unknown frame")]
+    fn stale_note_write_after_reuse_panics() {
+        let (mut fa, stale, _) = reused_slot();
+        fa.note_write(stale);
+    }
+
+    #[test]
+    fn table_stays_at_peak_live_frames() {
+        let mut fa = FrameAllocator::new(2, 1 << 20);
+        let mut live: Vec<FrameId> = (0..64).map(|i| fa.alloc(NodeId(i % 2)).unwrap()).collect();
+        // Ping-pong migrations: alloc the copy, free the original.
+        for round in 0..1_000u16 {
+            for f in &mut live {
+                let to = NodeId((fa.node_of(*f).0 + 1) % 2);
+                let new = fa.alloc(to).unwrap();
+                fa.copy_contents(*f, new);
+                fa.free(*f);
+                *f = new;
+            }
+            assert!(
+                fa.table_slots() <= 65,
+                "round {round}: table grew past peak live"
+            );
+        }
+        assert_eq!(fa.allocated_total(), 64 + 64_000);
+        assert_eq!(fa.live_total(), 64);
     }
 }

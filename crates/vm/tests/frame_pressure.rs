@@ -1,4 +1,5 @@
-//! Property test for the frame allocator's pressure accounting.
+//! Property tests for the frame allocator: pressure accounting, and the
+//! slot-reusing frame table against a never-reusing reference model.
 //!
 //! Drives a [`FrameAllocator`] through random interleavings of the op
 //! shapes the memory-pressure subsystem performs — alloc, free,
@@ -12,7 +13,7 @@
 //! recomputed from first principles.
 
 use numa_topology::NodeId;
-use numa_vm::{FrameAllocator, FrameId, PressureLevel};
+use numa_vm::{Frame, FrameAllocator, FrameId, PressureLevel};
 use proptest::prelude::*;
 
 const NODES: usize = 4;
@@ -134,5 +135,124 @@ proptest! {
             fa.free(id);
         }
         check_consistency(&fa, &live);
+    }
+}
+
+/// The frame table before slot reuse, as a reference model: one
+/// `Option<Frame>` per id ever issued, ids dense and never reused, so a
+/// freed id stays dead forever.
+#[derive(Default)]
+struct NeverReused {
+    frames: Vec<Option<Frame>>,
+    next_content: u64,
+    live_per_node: [u64; NODES],
+    capacity: u64,
+    offline: [bool; NODES],
+    allocated: u64,
+    freed: u64,
+}
+
+impl NeverReused {
+    fn alloc(&mut self, node: NodeId) -> Option<usize> {
+        let n = node.index();
+        if self.live_per_node[n] >= self.capacity || self.offline[n] {
+            return None;
+        }
+        self.frames.push(Some(Frame {
+            node,
+            content_tag: self.next_content,
+            write_gen: 0,
+        }));
+        self.next_content += 1;
+        self.live_per_node[n] += 1;
+        self.allocated += 1;
+        Some(self.frames.len() - 1)
+    }
+
+    fn free(&mut self, id: usize) {
+        let f = self.frames[id].take().expect("reference double free");
+        self.live_per_node[f.node.index()] -= 1;
+        self.freed += 1;
+    }
+
+    fn frame(&mut self, id: usize) -> &mut Frame {
+        self.frames[id].as_mut().expect("reference use after free")
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The slot-reusing frame table in lockstep with the never-reusing
+    /// reference: random alloc / free / copy / write / offline / online
+    /// interleavings must agree on every live frame's node, contents and
+    /// write generation and on the live/allocated/freed counts, and every
+    /// freed id must stay dead even after its slot is reused.
+    #[test]
+    fn slot_reuse_matches_never_reused_reference(
+        ops in proptest::collection::vec((0u8..7, 0u8..NODES as u8, any::<u16>()), 1..300),
+    ) {
+        const CAPACITY: u64 = 6;
+        let mut fa = FrameAllocator::new(NODES, CAPACITY);
+        let mut reference = NeverReused { capacity: CAPACITY, ..NeverReused::default() };
+        // (table id, reference id) of every live frame, and every freed id.
+        let mut live: Vec<(FrameId, usize)> = Vec::new();
+        let mut freed: Vec<FrameId> = Vec::new();
+        let mut peak_live = 0usize;
+        for (kind, node_raw, pick) in ops {
+            let node = NodeId(u16::from(node_raw));
+            let pick = usize::from(pick);
+            match kind {
+                0 | 1 => match (fa.alloc(node), reference.alloc(node)) {
+                    (Some(id), Some(rid)) => live.push((id, rid)),
+                    (None, None) => {}
+                    (got, want) => prop_assert!(false, "alloc on {node:?}: {got:?} vs reference {want:?}"),
+                },
+                2 if !live.is_empty() => {
+                    let (id, rid) = live.swap_remove(pick % live.len());
+                    fa.free(id);
+                    reference.free(rid);
+                    freed.push(id);
+                }
+                3 if !live.is_empty() => {
+                    let (src, rsrc) = live[pick % live.len()];
+                    let (dst, rdst) = live[(pick / 7) % live.len()];
+                    fa.copy_contents(src, dst);
+                    let tag = reference.frame(rsrc).content_tag;
+                    reference.frame(rdst).content_tag = tag;
+                }
+                4 if !live.is_empty() => {
+                    let (id, rid) = live[pick % live.len()];
+                    fa.note_write(id);
+                    reference.frame(rid).write_gen += 1;
+                }
+                5 => {
+                    fa.set_offline(node);
+                    reference.offline[node.index()] = true;
+                }
+                6 => {
+                    fa.set_online(node);
+                    reference.offline[node.index()] = false;
+                }
+                _ => {}
+            }
+            peak_live = peak_live.max(live.len());
+            for &(id, rid) in &live {
+                let want = reference.frames[rid].expect("reference frame live");
+                prop_assert_eq!(fa.node_of(id), want.node);
+                prop_assert_eq!(fa.get(id).map(|f| f.content_tag), Some(want.content_tag));
+                prop_assert_eq!(fa.write_gen(id), want.write_gen);
+            }
+            for &id in &freed {
+                prop_assert!(fa.get(id).is_none(), "freed id {id:?} resolves");
+            }
+            prop_assert_eq!(fa.live_total(), live.len() as u64);
+            prop_assert_eq!(fa.allocated_total(), reference.allocated);
+            prop_assert_eq!(fa.freed_total(), reference.freed);
+            for n in 0..NODES {
+                prop_assert_eq!(fa.live_on(NodeId(n as u16)), reference.live_per_node[n]);
+            }
+            prop_assert!(fa.table_slots() <= peak_live, "table grew past peak live");
+        }
     }
 }
